@@ -135,17 +135,21 @@ drift-smoke:
 		-refit-every 12 -refit-buffer 48 -refit-blend 0.3 \
 		-drift-sweep BENCH_drift.json
 
-# Batched-execution smoke: the bit-identity foundations (packed-modem
+# Execution-path smoke: the bit-identity foundations (packed-modem
 # decision thresholds at every boundary ±1 ulp, bulk normal sampler
-# draw-for-draw against math/rand), the batched determinism wall
-# (batch × workers × scenario digests equal scalar, under the race
-# detector), the zero-allocation pin on the batched group step, and the
-# scaling baseline with its ungated single-core batched-vs-scalar
-# speedup floor (BENCH_fleet.json).
+# draw-for-draw against math/rand, and every production kernel against
+# its _test.go oracle — encoder, decoder, AWGN, generator, quantizer,
+# receiver), the single-core frame round-trip floor (production kernels
+# ≥2× the oracles), the determinism wall (batch × workers × scenario
+# against pinned digests, under the race detector), the zero-allocation
+# pin on Pipeline.Step and the group tick, and the scaling baseline
+# (BENCH_fleet.json).
 batch-smoke:
-	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical' ./internal/comm/
+	$(GO) test -run 'TestDemodThresholdsExact|TestDemodBoundarySymbols|TestPackedModemIdentical|TestAppendEncodeFastIdentical|TestDecodeIntoIdentical|TestTransmit(InPlace|Slab)FastIdentical|TestFrameRoundTripSpeedup' ./internal/comm/
 	$(GO) test -run 'TestFillNormBitIdentical' ./internal/detrand/
-	$(GO) test -race -run 'TestBatched|TestBatchValidate|TestReceiveScratch' ./internal/fleet/ ./internal/wearable/
+	$(GO) test -run 'TestNextSlabBitIdentical|TestAppendQuantizeFastIdentical' ./internal/neural/
+	$(GO) test -race -run 'TestBatched|TestBatchValidate' ./internal/fleet/
+	$(GO) test -race -run 'TestReceiveScratch' ./internal/wearable/
 	$(GO) test -run 'TestBatchedStepAllocFree' ./internal/fleet/
 	$(GO) test -run 'TestFleetScalingBaseline' .
 

@@ -220,7 +220,7 @@ func BenchmarkPacketizer1024ch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := comm.Decode(buf); err != nil {
+		if _, err := comm.Decode(buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ import (
 func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 	n := fs.Int("n", 64, "number of implants")
 	workers := fs.Int("workers", 4, "worker goroutines")
-	batch := fs.Int("batch", 0, "implants per worker stepped in tick lockstep through the slab kernels (0 or 1 = scalar)")
+	batch := fs.Int("batch", 0, "implants per worker stepped together one tick at a time (grouping only: same output and speed for every value)")
 	ticks := fs.Int("ticks", 128, "frames per implant")
 	channels := fs.Int("channels", 32, "channels per implant")
 	qam := fs.Int("qam", 4, "QAM bits per symbol (0 = OOK)")
@@ -116,9 +116,9 @@ func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 //	              [-refit-every N] [-refit-buffer N] [-refit-blend W]
 //	              [-drift-sweep FILE]
 //
-// -batch B steps each worker's shard in groups of B implants in tick
-// lockstep through the slab kernels — bit-identical output, higher
-// single-core throughput. With -scaling FILE it additionally measures
+// -batch B steps each worker's shard in groups of B implants, one tick
+// at a time across the group — a grouping setting with bit-identical
+// output and unchanged speed. With -scaling FILE it additionally measures
 // the 1/2/4/8-worker throughput curve on the same configuration and
 // writes it as JSON (the BENCH_fleet.json schema); -batch-sweep FILE
 // measures the single-worker B ∈ {1,4,16,64} curve instead. -faults I injects the default fault

@@ -19,10 +19,9 @@ import (
 //	                [-out FILE]
 //
 // The timing decorator is digest-neutral, so the reported digest matches
-// an untimed `mindful fleet` run of the same configuration. With
-// -batch B the batched columns are timed as units and the elapsed time
-// spread over the implants stepped, so ns/frame stays comparable with
-// the scalar attribution.
+// an untimed `mindful fleet` run of the same configuration. Every stage
+// is timed per implant per tick, whatever -batch groups the implants
+// into.
 func runProfile() error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	build := fleetFlags(fs)

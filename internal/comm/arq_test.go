@@ -174,10 +174,10 @@ func TestARQEndToEnd(t *testing.T) {
 			if rng.Float64() < 0.4 { // corrupt this attempt
 				bad := append([]byte(nil), buf...)
 				bad[rng.Intn(len(bad))] ^= 0xFF
-				_, err := Decode(bad)
+				_, err := Decode(bad, nil)
 				return err == nil
 			}
-			_, err := Decode(buf)
+			_, err := Decode(buf, nil)
 			return err == nil
 		})
 		if ok {

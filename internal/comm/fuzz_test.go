@@ -28,7 +28,7 @@ func FuzzParsePacket(f *testing.F) {
 	f.Add(corrupted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := Decode(data)
+		fr, err := Decode(data, nil)
 		if err != nil {
 			return
 		}
@@ -43,8 +43,8 @@ func FuzzParsePacket(f *testing.F) {
 }
 
 // FuzzPackSamples checks the bit-packing round trip for every sample
-// width: pack → unpack must be the identity on in-range samples, and the
-// Append variant must agree with the allocating one.
+// width: pack → unpack must be the identity on in-range samples, and
+// both directions must agree with the per-bit oracles.
 func FuzzPackSamples(f *testing.F) {
 	f.Add([]byte{0x12, 0x34, 0xFF, 0x00}, uint8(10))
 	f.Add([]byte{1}, uint8(1))
@@ -64,15 +64,19 @@ func FuzzPackSamples(f *testing.F) {
 		if len(samples) == 0 {
 			return
 		}
-		packed := PackSamples(samples, bits)
-		if got := AppendPackSamples(nil, samples, bits); !bytes.Equal(got, packed) {
-			t.Fatalf("AppendPackSamples disagrees with PackSamples")
+		packed := AppendPackSamples(nil, samples, bits)
+		if want := appendPackSamplesRef(nil, samples, bits); !bytes.Equal(packed, want) {
+			t.Fatalf("AppendPackSamples disagrees with the per-bit oracle")
 		}
-		back, err := UnpackSamples(packed, len(samples), bits)
+		back := appendUnpackSamples(nil, packed, len(samples), bits)
+		ref, err := unpackSamplesRef(packed, len(samples), bits)
 		if err != nil {
-			t.Fatalf("unpack failed: %v", err)
+			t.Fatalf("oracle unpack failed: %v", err)
 		}
 		for i := range samples {
+			if back[i] != ref[i] {
+				t.Fatalf("sample %d: unpacked %d, oracle %d at %d bits", i, back[i], ref[i], bits)
+			}
 			if back[i] != samples[i] {
 				t.Fatalf("sample %d: packed %d, unpacked %d at %d bits", i, samples[i], back[i], bits)
 			}
@@ -162,7 +166,7 @@ func FuzzARQReorder(f *testing.F) {
 			return b
 		}
 		deliver := func(buf []byte) bool {
-			fr, err := Decode(buf)
+			fr, err := Decode(buf, nil)
 			if err != nil {
 				return false
 			}

@@ -252,6 +252,9 @@ type AWGNChannel struct {
 	rng *detrand.Rand
 	// sigma is the per-dimension noise standard deviation √(N0/2).
 	sigma float64
+	// noise holds one chunk of TransmitInPlace's draws. It lives in the
+	// channel rather than on the stack so that no call pays to zero it.
+	noise [256]float64
 }
 
 // NewAWGNChannel returns a channel at the given linear Eb/N0, seeded for
@@ -293,11 +296,21 @@ func (c *AWGNChannel) Transmit(syms []Symbol) []Symbol {
 
 // TransmitInPlace adds noise to the symbols in place — the allocation-free
 // variant for pooled pipelines. The noise sequence is identical to
-// Transmit's for the same channel state.
+// Transmit's for the same channel state: I then Q per symbol, each
+// exactly the value the stream's next NormFloat64 would return. The
+// draws come from the bulk sampler a chunk of symbols at a time, so the
+// per-draw cost is close to one raw source step.
 func (c *AWGNChannel) TransmitInPlace(syms []Symbol) {
-	for i := range syms {
-		syms[i].I += c.rng.NormFloat64() * c.sigma
-		syms[i].Q += c.rng.NormFloat64() * c.sigma
+	sigma := c.sigma
+	for len(syms) > 0 {
+		n := min(len(syms), len(c.noise)/2)
+		buf := c.noise[:2*n]
+		c.rng.FillNorm(buf)
+		for i := range syms[:n] {
+			syms[i].I += buf[2*i] * sigma
+			syms[i].Q += buf[2*i+1] * sigma
+		}
+		syms = syms[n:]
 	}
 }
 

@@ -101,10 +101,14 @@ func EncodeFrame(fr Frame) ([]byte, error) {
 	return appendFrame(nil, fr.Seq, fr.SampleBits, fr.Flags, fr.Samples), nil
 }
 
+// MaxFrameChannels is the most samples one frame carries: the header
+// stores the channel count in a uint16.
+const MaxFrameChannels = 0xFFFF
+
 // checkSamples verifies the channel count and per-sample range for a
 // d-bit frame.
 func checkSamples(samples []uint16, sampleBits int) error {
-	if len(samples) > 0xFFFF {
+	if len(samples) > MaxFrameChannels {
 		return fmt.Errorf("comm: %d channels exceeds frame limit", len(samples))
 	}
 	max := uint16(1)<<sampleBits - 1
@@ -139,15 +143,23 @@ func FrameSizeBits(channels, sampleBits int) int {
 	return (frameHeaderLen + payload + 4) * 8
 }
 
-// Decoding errors.
+// Decoding errors. They are static so that rejecting a corrupt frame
+// allocates nothing.
 var (
-	ErrShortFrame = errors.New("comm: frame truncated")
-	ErrBadMagic   = errors.New("comm: bad frame magic")
-	ErrBadCRC     = errors.New("comm: frame CRC mismatch")
+	ErrShortFrame    = errors.New("comm: frame truncated")
+	ErrBadMagic      = errors.New("comm: bad frame magic")
+	ErrBadCRC        = errors.New("comm: frame CRC mismatch")
+	ErrBadSampleBits = errors.New("comm: frame sample bits invalid")
+	ErrBadPayloadLen = errors.New("comm: frame payload length mismatch")
+	ErrBadPadding    = errors.New("comm: nonzero payload padding bits")
 )
 
-// Decode parses and verifies one frame produced by Encode.
-func Decode(buf []byte) (Frame, error) {
+// Decode parses and verifies one frame produced by Encode, unpacking
+// its samples into scratch[:0] (grown when too small). The returned
+// Frame's Samples alias that storage: pass the previous frame's Samples
+// back as scratch to decode allocation-free, and copy samples that must
+// outlive the next call. A nil scratch yields a freshly allocated slice.
+func Decode(buf []byte, scratch []uint16) (Frame, error) {
 	if len(buf) < frameHeaderLen+4 {
 		return Frame{}, ErrShortFrame
 	}
@@ -163,65 +175,62 @@ func Decode(buf []byte) (Frame, error) {
 	bits := int(buf[8])
 	flags := buf[9]
 	if bits < 1 || bits > 16 {
-		return Frame{}, fmt.Errorf("comm: frame sample bits %d invalid", bits)
+		return Frame{}, ErrBadSampleBits
 	}
 	payload := body[frameHeaderLen:]
 	if want := (chans*bits + 7) / 8; len(payload) != want {
-		return Frame{}, fmt.Errorf("comm: payload %d bytes, want %d", len(payload), want)
+		return Frame{}, ErrBadPayloadLen
 	}
 	// Enforce canonical encoding: the final byte's padding bits must be
 	// zero, so every accepted frame re-encodes to the same bytes.
 	if pad := len(payload)*8 - chans*bits; pad > 0 && payload[len(payload)-1]&(1<<pad-1) != 0 {
-		return Frame{}, fmt.Errorf("comm: nonzero payload padding bits")
+		return Frame{}, ErrBadPadding
 	}
-	samples, err := UnpackSamples(payload, chans, bits)
-	if err != nil {
-		return Frame{}, err
+	if cap(scratch) < chans {
+		scratch = make([]uint16, 0, chans)
 	}
+	samples := appendUnpackSamples(scratch[:0], payload, chans, bits)
 	return Frame{Seq: seq, SampleBits: bits, Samples: samples, Flags: flags}, nil
 }
 
-// PackSamples packs values at the given bit width, MSB first, padding the
-// final byte with zeros.
-func PackSamples(samples []uint16, bits int) []byte {
-	return AppendPackSamples(make([]byte, 0, (len(samples)*bits+7)/8), samples, bits)
-}
-
-// AppendPackSamples appends the packed representation of samples to dst.
+// AppendPackSamples appends samples packed at the given bit width, MSB
+// first, padding the final byte with zeros. A 64-bit accumulator
+// collects the bits; with bits ≤ 16 it never holds more than 23 pending
+// bits.
 func AppendPackSamples(dst []byte, samples []uint16, bits int) []byte {
-	base := len(dst)
-	for n := (len(samples)*bits + 7) / 8; n > 0; n-- {
-		dst = append(dst, 0)
-	}
-	pos := 0
+	var acc uint64
+	nacc := 0
 	for _, s := range samples {
-		for b := bits - 1; b >= 0; b-- {
-			if s>>b&1 != 0 {
-				dst[base+pos/8] |= 1 << (7 - pos%8)
-			}
-			pos++
+		acc = acc<<bits | uint64(s)
+		nacc += bits
+		for nacc >= 8 {
+			nacc -= 8
+			dst = append(dst, byte(acc>>nacc))
 		}
+	}
+	if nacc > 0 {
+		// Final partial byte, left-aligned with zero padding bits (the
+		// canonical-encoding invariant Decode enforces).
+		dst = append(dst, byte(acc<<(8-nacc)))
 	}
 	return dst
 }
 
-// UnpackSamples reverses PackSamples for a known sample count.
-func UnpackSamples(data []byte, count, bits int) ([]uint16, error) {
-	if need := (count*bits + 7) / 8; len(data) < need {
-		return nil, fmt.Errorf("comm: %d bytes too short for %d×%d-bit samples", len(data), count, bits)
-	}
-	out := make([]uint16, count)
-	pos := 0
-	for i := range out {
-		var v uint16
-		for b := 0; b < bits; b++ {
-			v <<= 1
-			if data[pos/8]>>(7-pos%8)&1 != 0 {
-				v |= 1
-			}
-			pos++
+// appendUnpackSamples reverses AppendPackSamples for count samples,
+// appending them to dst. data must hold at least ceil(count*bits/8)
+// bytes (Decode validates this first).
+func appendUnpackSamples(dst []uint16, data []byte, count, bits int) []uint16 {
+	var acc uint64
+	nacc, di := 0, 0
+	mask := uint64(1)<<bits - 1
+	for i := 0; i < count; i++ {
+		for nacc < bits {
+			acc = acc<<8 | uint64(data[di])
+			di++
+			nacc += 8
 		}
-		out[i] = v
+		nacc -= bits
+		dst = append(dst, uint16(acc>>nacc&mask))
 	}
-	return out, nil
+	return dst
 }

@@ -16,7 +16,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Decode(buf)
+	f, err := Decode(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Decode(buf2)
+	f2, err := Decode(buf2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fr, err := Decode(buf)
+		fr, err := Decode(buf, nil)
 		if err != nil || len(fr.Samples) != n {
 			return false
 		}
@@ -91,17 +91,17 @@ func TestPacketCorruptionDetected(t *testing.T) {
 		c := make([]byte, len(buf))
 		copy(c, buf)
 		c[pos/8] ^= 1 << (pos % 8)
-		if _, err := Decode(c); err == nil {
+		if _, err := Decode(c, nil); err == nil {
 			t.Fatalf("single-bit corruption at bit %d not detected", pos)
 		}
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err != ErrShortFrame {
+	if _, err := Decode(nil, nil); err != ErrShortFrame {
 		t.Errorf("nil frame: %v", err)
 	}
-	if _, err := Decode(make([]byte, 5)); err != ErrShortFrame {
+	if _, err := Decode(make([]byte, 5), nil); err != ErrShortFrame {
 		t.Errorf("short frame: %v", err)
 	}
 	p, _ := NewPacketizer(8)
@@ -109,17 +109,17 @@ func TestDecodeErrors(t *testing.T) {
 	bad := make([]byte, len(buf))
 	copy(bad, buf)
 	bad[0] = 0x00 // break magic
-	if _, err := Decode(bad); err != ErrBadMagic {
+	if _, err := Decode(bad, nil); err != ErrBadMagic {
 		t.Errorf("bad magic: %v", err)
 	}
 	copy(bad, buf)
 	bad[len(bad)-1] ^= 0xFF // break CRC
-	if _, err := Decode(bad); err != ErrBadCRC {
+	if _, err := Decode(bad, nil); err != ErrBadCRC {
 		t.Errorf("bad crc: %v", err)
 	}
 	// Truncated payload: drop a byte and re-checksum won't match either;
 	// shorten to below header size instead.
-	if _, err := Decode(buf[:8]); err == nil {
+	if _, err := Decode(buf[:8], nil); err == nil {
 		t.Errorf("truncated frame should fail")
 	}
 }
@@ -145,20 +145,17 @@ func TestEncodeValidation(t *testing.T) {
 
 func TestPackUnpackSamples(t *testing.T) {
 	samples := []uint16{0x3, 0x1, 0x0, 0x2, 0x3}
-	packed := PackSamples(samples, 2)
+	packed := AppendPackSamples(nil, samples, 2)
 	if len(packed) != 2 { // 10 bits → 2 bytes
 		t.Fatalf("packed length = %d", len(packed))
 	}
-	got, err := UnpackSamples(packed, len(samples), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := appendUnpackSamples(nil, packed, len(samples), 2)
 	for i := range samples {
 		if got[i] != samples[i] {
 			t.Errorf("sample %d: %d != %d", i, got[i], samples[i])
 		}
 	}
-	if _, err := UnpackSamples(packed, 20, 2); err == nil {
+	if _, err := unpackSamplesRef(packed, 20, 2); err == nil {
 		t.Errorf("unpack beyond data should fail")
 	}
 }

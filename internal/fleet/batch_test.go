@@ -11,8 +11,7 @@ import (
 
 // packedFaultConfig returns a scenario that keeps the packed transport
 // eligible (no ARQ, no FEC) while injecting every per-implant fault
-// process — burst link drops, brownouts and electrode faults all ride
-// through the batched columns.
+// process — burst link drops, brownouts and electrode faults.
 func packedFaultConfig() Config {
 	cfg := testConfig()
 	p := fault.DefaultProfile()
@@ -20,13 +19,24 @@ func packedFaultConfig() Config {
 	return cfg
 }
 
-// TestBatchedDeterminismWall is the batched half of the determinism
-// wall: for every scenario — packed fast path, every scalar-fallback
-// trigger (FEC, ARQ, non-packable modulation), faults, drift and the
-// closed decode loop — the batched runner must produce byte-identical
-// aggregates and per-implant results to the scalar reference, for every
-// batch size × worker count, under -race (the tier-1.5 gate runs this
-// file with the race detector).
+// wallPins are the determinism wall's absolute references: each
+// scenario's aggregate frame and decode digests (0 without a decoder).
+var wallPins = map[string][2]uint64{
+	"clean":        {0x9c84c137f47cd3d1, 0},
+	"faults":       {0x05967bc2339fd8cb, 0},
+	"drift_decode": {0xefef691357e10e54, 0x2d2bcd34fb04d39f},
+	"fec":          {0xcc1c4db4a7912148, 0},
+	"harsh":        {0xa71d7bb5bb620017, 0},
+	"qam64":        {0x94a6cdb765fcc300, 0},
+}
+
+// TestBatchedDeterminismWall is the grouping half of the determinism
+// wall: for every scenario — packed transport, every bit-modem trigger
+// (FEC, ARQ, a modulation that does not pack), faults, drift and the
+// closed decode loop — every batch size × worker count must reproduce
+// the pinned digests, and aggregates and per-implant results identical
+// to the one-implant-at-a-time run, under -race (the tier-1.5 gate runs
+// this file with the race detector).
 func TestBatchedDeterminismWall(t *testing.T) {
 	drifting := packedFaultConfig()
 	driftProf := driftProfile()
@@ -48,13 +58,13 @@ func TestBatchedDeterminismWall(t *testing.T) {
 		{"clean", testConfig()},
 		// Packed transport with every fault process injected.
 		{"faults", packedFaultConfig()},
-		// Packed transport + scalar decode/adapt columns + drift.
+		// Packed transport + decode/adapt stages + drift.
 		{"drift_decode", drifting},
-		// Scalar-fallback transport: FEC breaks packed eligibility.
+		// Bit-modem transport: FEC rules out the packed modem.
 		{"fec", fecOnly},
-		// Scalar-fallback transport: ARQ + FEC + full fault profile.
+		// Bit-modem transport: ARQ + FEC + full fault profile.
 		{"harsh", faultConfig()},
-		// Scalar-fallback transport: 6 bits/symbol does not divide 8.
+		// Bit-modem transport: 6 bits/symbol does not divide 8.
 		{"qam64", qam64},
 	}
 	for _, sc := range scenarios {
@@ -69,6 +79,9 @@ func TestBatchedDeterminismWall(t *testing.T) {
 			}
 			if ref.BitErrors == 0 {
 				t.Fatal("operating point produced zero bit errors; the wall would not exercise the noisy path")
+			}
+			if pin := wallPins[sc.name]; ref.Digest != pin[0] || ref.DecodeDigest != pin[1] {
+				t.Fatalf("digests %#016x/%#016x, pinned %#016x/%#016x", ref.Digest, ref.DecodeDigest, pin[0], pin[1])
 			}
 			want := deterministicFields(ref)
 			for _, batch := range []int{1, 4, 16} {
@@ -100,8 +113,8 @@ func TestBatchedDeterminismWall(t *testing.T) {
 	}
 }
 
-// TestBatchedStageTiming checks the batched runner's timing attribution:
-// one clock per column, frame counts equal to implants × ticks, and the
+// TestBatchedStageTiming checks timing attribution under grouping: one
+// clock per stage, frame counts equal to implants × ticks, and the
 // digest untouched by the decorator.
 func TestBatchedStageTiming(t *testing.T) {
 	cfg := testConfig()
@@ -114,7 +127,7 @@ func TestBatchedStageTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	if agg.Digest != ref.Digest {
-		t.Errorf("timed batched digest %#x != scalar %#x", agg.Digest, ref.Digest)
+		t.Errorf("timed grouped digest %#x != ungrouped %#x", agg.Digest, ref.Digest)
 	}
 	if prof.Batch != 4 {
 		t.Errorf("profile batch = %d, want 4", prof.Batch)
@@ -136,9 +149,9 @@ func withBatch(cfg Config, b int) Config {
 }
 
 // TestBatchedCheckpointCompatible pins the serve-path interaction: a
-// pipeline snapshot taken from a scalar run restores and continues
-// identically whether the original fleet ran batched or not — Batch is
-// a runner choice, not simulation state.
+// pipeline built under a grouped config snapshots, restores and
+// continues identically — Batch is a runner choice, not simulation
+// state.
 func TestBatchedCheckpointCompatible(t *testing.T) {
 	cfg := testConfig()
 	cfg.Batch = 4
@@ -178,7 +191,7 @@ func TestBatchedCheckpointCompatible(t *testing.T) {
 	}
 }
 
-// TestBatchValidate pins the new config checks.
+// TestBatchValidate pins the batch-size check.
 func TestBatchValidate(t *testing.T) {
 	cfg := testConfig()
 	cfg.Batch = -1

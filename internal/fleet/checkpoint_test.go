@@ -43,16 +43,26 @@ func stepN(t *testing.T, p *Pipeline, n int) {
 	}
 }
 
+// runImplants runs the fleet on one worker and returns its per-implant
+// results.
+func runImplants(t *testing.T, cfg Config) []ImplantResult {
+	t.Helper()
+	cfg.Workers = 1
+	agg, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg.PerImplant
+}
+
 // TestPipelineMatchesRunImplant: a pipeline stepped Ticks times must
-// reproduce runImplant's result exactly — the extraction invariant.
+// reproduce Run's per-implant result exactly — the extraction invariant.
 func TestPipelineMatchesRunImplant(t *testing.T) {
 	for name, cfg := range checkpointConfigs() {
 		t.Run(name, func(t *testing.T) {
+			results := runImplants(t, cfg)
 			for idx := 0; idx < cfg.Implants; idx++ {
-				want := runImplant(cfg, idx, 0)
-				if want.Err != nil {
-					t.Fatal(want.Err)
-				}
+				want := results[idx]
 				p, err := NewPipeline(cfg, idx, 0)
 				if err != nil {
 					t.Fatal(err)

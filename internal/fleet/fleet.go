@@ -44,12 +44,14 @@ type Config struct {
 	// Workers is the number of concurrent worker goroutines; values < 1
 	// run single-threaded. The result is identical for every value.
 	Workers int
-	// Batch is the number of implants each worker steps in tick lockstep
-	// per stage invocation, over shared structure-of-arrays slabs; values
-	// < 2 run the scalar per-implant path. Every deterministic output —
-	// aggregate and per-implant digests included — is identical for every
-	// value: batching interleaves implants at tick granularity, which
-	// cannot reorder any single implant's per-stream random draws.
+	// Batch is the number of implants each worker steps in tick lockstep:
+	// the worker builds a group of Batch pipelines and advances the whole
+	// group one tick at a time; values < 2 step one implant at a time to
+	// completion. It is a grouping setting that changes neither speed nor
+	// output. Every deterministic output — aggregate and per-implant
+	// digests included — is identical for every value: interleaving
+	// implants at tick granularity cannot reorder any single implant's
+	// per-stream random draws.
 	Batch int
 	// Ticks is the number of frames each implant transmits.
 	Ticks int
@@ -130,6 +132,9 @@ func (c Config) Validate() error {
 	}
 	if c.Channels < 1 {
 		return errors.New("fleet: need at least one channel")
+	}
+	if c.Channels > comm.MaxFrameChannels {
+		return fmt.Errorf("fleet: %d channels exceeds the frame limit of %d", c.Channels, comm.MaxFrameChannels)
 	}
 	if c.SampleRate.Hz() <= 0 {
 		return errors.New("fleet: sample rate must be positive")
@@ -369,15 +374,7 @@ func Run(cfg Config) (*Aggregate, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Static round-robin sharding: implant i always belongs to
-			// shard i mod workers, and each slot is written exactly once.
-			if cfg.Batch > 1 {
-				runBatchShard(cfg, w, workers, results)
-				return
-			}
-			for i := w; i < cfg.Implants; i += workers {
-				results[i] = runImplant(cfg, i, w)
-			}
+			runShard(cfg, w, workers, results)
 		}(w)
 	}
 	wg.Wait()
@@ -451,30 +448,56 @@ func Run(cfg Config) (*Aggregate, error) {
 	return agg, nil
 }
 
-// runImplant executes one implant's full pipeline to Config.Ticks by
-// stepping a Pipeline — the same dataflow the serve gateway drives
-// incrementally — and flushes the shard-labeled metrics.
-func runImplant(cfg Config, idx, worker int) ImplantResult {
-	p, err := NewPipeline(cfg, idx, worker)
-	if err != nil {
-		return ImplantResult{Index: idx, Worker: worker, Digest: fnvOffset, Err: err}
-	}
-	defer p.Close()
-	for t := 0; t < cfg.Ticks; t++ {
-		if err := p.Step(); err != nil {
+// runShard runs worker w's shard. Static round-robin sharding: implant
+// i always belongs to shard i mod workers, and each slot of results is
+// written exactly once. The shard's implants, in index order, are built
+// in groups of max(1, Batch) and each group is stepped one tick at a
+// time across all its pipelines — through Pipeline.Step, the same code
+// the serve gateway drives.
+func runShard(cfg Config, w, workers int, results []ImplantResult) {
+	group := max(1, cfg.Batch)
+	ps := make([]*Pipeline, 0, group)
+	for first := w; first < cfg.Implants; first += group * workers {
+		ps = ps[:0]
+		for k, i := 0, first; k < group && i < cfg.Implants; k, i = k+1, i+workers {
+			p, err := NewPipeline(cfg, i, w)
+			if err != nil {
+				results[i] = ImplantResult{Index: i, Worker: w, Digest: fnvOffset, Err: err}
+				continue
+			}
+			ps = append(ps, p)
+		}
+		for t := 0; t < cfg.Ticks; t++ {
+			stepGroup(ps)
+		}
+		for _, p := range ps {
 			res := p.Result()
-			res.Err = err
-			return res
+			if res.Err == nil {
+				flushObserver(cfg, res, w)
+			}
+			results[res.Index] = res
+			p.Close()
 		}
 	}
-	res := p.Result()
-	flushObserver(cfg, res, worker)
-	return res
+}
+
+// stepGroup advances every pipeline of a group one tick. A pipeline
+// whose Step fails keeps the error in its result and is not stepped
+// again.
+func stepGroup(ps []*Pipeline) {
+	for _, p := range ps {
+		if p.res.Err != nil {
+			continue
+		}
+		if err := p.Step(); err != nil {
+			p.res.Err = err
+		}
+	}
 }
 
 // flushObserver publishes one implant's finished counters to the
-// configured observer under its shard label. Called from both execution
-// modes once an implant completes without error.
+// configured observer under its shard label, once the implant completes
+// without error.
 func flushObserver(cfg Config, res ImplantResult, worker int) {
 	if cfg.Observer != nil {
 		reg := cfg.Observer.Metrics

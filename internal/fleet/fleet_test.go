@@ -205,6 +205,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Implants = 0 },
 		func(c *Config) { c.Ticks = 0 },
 		func(c *Config) { c.Channels = 0 },
+		func(c *Config) { c.Channels = comm.MaxFrameChannels + 1 }, // no frame can carry it
+		func(c *Config) { c.Channels = 1 << 17 },
 		func(c *Config) { c.SampleRate = units.Hertz(0) },
 		func(c *Config) { c.SampleBits = 0 },
 		func(c *Config) { c.SampleBits = 17 },
@@ -220,5 +222,10 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
+	}
+	widest := DefaultConfig()
+	widest.Channels = comm.MaxFrameChannels
+	if err := widest.Validate(); err != nil {
+		t.Errorf("frame-limit channel count rejected: %v", err)
 	}
 }

@@ -23,10 +23,11 @@ import (
 // The builder assembles the graph so that every random draw comes from
 // the same derived streams in the same order as the original hardwired
 // pipeline — a Pipeline stepped N times produces byte-for-byte the
-// counters and digest of runImplant over N ticks, with or without a
-// decode stage attached. Snapshot/RestorePipeline extend that guarantee
-// across a serialization boundary: a restored pipeline continues the
-// exact draw sequences, so checkpoint/resume is invisible to the digest.
+// counters and digest of a Run over N ticks, with or without a decode
+// stage attached: Run steps its implants through this same Step.
+// Snapshot/RestorePipeline extend that guarantee across a serialization
+// boundary: a restored pipeline continues the exact draw sequences, so
+// checkpoint/resume is invisible to the digest.
 //
 // A Pipeline is not safe for concurrent use; Close returns its pooled
 // buffers and must be called exactly once when done.
@@ -139,13 +140,19 @@ func NewPipeline(cfg Config, idx, worker int) (*Pipeline, error) {
 		}
 	}
 
+	if pm, ok := comm.NewPackedModem(cfg.Modulation); ok && trans.fec == nil && trans.arq == nil {
+		trans.pm = pm
+	}
+
 	// Pooled buffers: the tick path is allocation-free once these have
 	// grown to steady-state capacity. Close returns them.
 	src.framePtr = comm.GetByteBuf()
 	trans.rxFramePtr = comm.GetByteBuf()
-	trans.bitPtr = comm.GetBitBuf()
-	trans.rxBitPtr = comm.GetBitBuf()
 	trans.symPtr = comm.GetSymbolBuf()
+	if trans.pm == nil {
+		trans.bitPtr = comm.GetBitBuf()
+		trans.rxBitPtr = comm.GetBitBuf()
+	}
 	if trans.fec != nil {
 		trans.codedPtr = comm.GetBitBuf()
 		trans.decPtr = comm.GetBitBuf()

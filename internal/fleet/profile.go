@@ -9,9 +9,9 @@ import (
 )
 
 // StageProfile is the flight recorder's answer to "where does the tick
-// go": a fleet run's per-stage ns/frame breakdown, the raw material the
-// ROADMAP's batched-stage-execution item needs to make regressions
-// attributable. Serialized as BENCH_stage.json by `mindful profile`.
+// go": a fleet run's per-stage ns/frame breakdown, the raw material that
+// makes regressions attributable. Serialized as BENCH_stage.json by
+// `mindful profile`.
 type StageProfile struct {
 	Implants  int    `json:"implants"`
 	Workers   int    `json:"workers"`

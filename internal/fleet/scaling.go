@@ -24,16 +24,16 @@ type BatchPoint struct {
 	Elapsed         time.Duration `json:"elapsed_ns"`
 	FramesPerSecond float64       `json:"frames_per_second"`
 	// Speedup is relative to the first measured point (batch sweeps
-	// conventionally start at 1, the scalar baseline).
+	// conventionally start at 1, one implant at a time).
 	Speedup float64 `json:"speedup"`
 	// Digest witnesses that every point computed identical output.
 	Digest uint64 `json:"digest,string"`
 }
 
 // MeasureBatchSweep runs the same fleet at each batch size on a single
-// worker and reports the throughput curve — the batched-execution
-// analogue of MeasureScaling, isolating the slab kernels' effect from
-// parallelism. It fails if any point's digest diverges.
+// worker and reports the throughput curve — the grouping analogue of
+// MeasureScaling, isolating the effect of Batch from parallelism. It
+// fails if any point's digest diverges.
 func MeasureBatchSweep(cfg Config, batches []int) ([]BatchPoint, error) {
 	if len(batches) == 0 {
 		return nil, fmt.Errorf("fleet: no batch sizes to measure")

@@ -60,22 +60,6 @@ type Stage interface {
 	Close()
 }
 
-// BatchStage is the batched-execution capability of the stage layer: one
-// invocation steps a whole group of implants' Tick records, letting the
-// implementation run slab kernels across the batch. The scalar Step
-// remains the compatibility path — any stage without a batched executor
-// runs through scalarBatch, which steps the per-implant stages in group
-// order. Per-implant digests are bit-identical either way because every
-// random draw comes from a per-(implant, purpose) stream that only that
-// implant's stages advance.
-type BatchStage interface {
-	// Name identifies the column, matching the scalar stage's name so
-	// timing attribution lines up across execution modes.
-	Name() string
-	// BatchStep advances every tick in the batch through this column.
-	BatchStep(tks []*Tick) error
-}
-
 // sourceStage is the implant side: synthetic cortex → electrode faults →
 // ADC → frame encoder, with the brownout process gating the radio.
 type sourceStage struct {
@@ -177,11 +161,15 @@ func (s *sourceStage) Close() {
 	comm.PutByteBuf(s.framePtr)
 }
 
-// transportStage is the uplink: frame bits → (FEC) → symbols → AWGN →
+// transportStage is the uplink: frame → (FEC) → symbols → AWGN →
 // demodulation → (FEC decode) → bytes → (burst link), with the ARQ loop
-// retrying failed frames inside the tick.
+// retrying failed frames inside the tick. Square QAM with k ∈ {2, 4, 8}
+// and neither FEC nor ARQ runs through the packed byte modem (pm);
+// everything else through the bit-per-byte modem. Both perform the same
+// draws in the same order, so the choice never moves a digest.
 type transportStage struct {
 	modem   comm.Modem
+	pm      *comm.PackedModem // nil: bit modem
 	channel *comm.AWGNChannel
 	fec     *comm.FEC
 	arq     *comm.ARQ
@@ -194,17 +182,33 @@ type transportStage struct {
 	linkPtr          *[]byte
 	rxFramePtr       *[]byte
 	finalBuf         []byte
+	// scratch backs the ARQ acceptance check's frame decode.
+	scratch []uint16
 }
 
 func (t *transportStage) Name() string { return "transport" }
 
-// attempt runs one full transmission of the tick's frame. It returns
-// the bytes that arrived at the wearable, or nil when the burst link
-// swallowed the frame whole. With every fault and coding stage disabled
-// it performs exactly the draws, in exactly the order, of the original
-// fault-free pipeline — the clean-path byte-identity invariant the
-// determinism wall pins.
-func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
+// sendPacked radiates the tick's frame through the packed modem and
+// returns the demodulated bytes. k divides 8, so a frame maps to whole
+// symbols with no pad bits and the XOR popcount equals the bit modem's
+// per-bit error count.
+func (t *transportStage) sendPacked(tk *Tick) []byte {
+	frame := tk.Frame
+	syms := t.pm.AppendModulateBytes((*t.symPtr)[:0], frame)
+	*t.symPtr = syms
+	t.channel.TransmitInPlace(syms)
+	rxFrame := t.pm.AppendDemodulateBytes((*t.rxFramePtr)[:0], syms)
+	*t.rxFramePtr = rxFrame
+	for i := range frame {
+		tk.Res.BitErrors += int64(mathbits.OnesCount8(frame[i] ^ rxFrame[i]))
+	}
+	tk.Res.BitsSent += int64(len(frame) * 8)
+	return rxFrame
+}
+
+// sendBits radiates the tick's frame through the bit modem, with FEC
+// when configured, and returns the demodulated (and FEC-decoded) bytes.
+func (t *transportStage) sendBits(tk *Tick) ([]byte, error) {
 	frame := tk.Frame
 	raw := comm.AppendBytesAsBits((*t.bitPtr)[:0], frame)
 	*t.bitPtr = raw
@@ -251,6 +255,25 @@ func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
 	}
 	rxFrame := comm.AppendBitsAsBytes((*t.rxFramePtr)[:0], data[:len(frame)*8])
 	*t.rxFramePtr = rxFrame
+	return rxFrame, nil
+}
+
+// attempt runs one full transmission of the tick's frame. It returns
+// the bytes that arrived at the wearable, or nil when the burst link
+// swallowed the frame whole. With every fault and coding stage disabled
+// it performs exactly the draws, in exactly the order, of the original
+// fault-free pipeline — the clean-path byte-identity invariant the
+// determinism wall pins.
+func (t *transportStage) attempt(tk *Tick) ([]byte, error) {
+	var rxFrame []byte
+	if t.pm != nil {
+		rxFrame = t.sendPacked(tk)
+	} else {
+		var err error
+		if rxFrame, err = t.sendBits(tk); err != nil {
+			return nil, err
+		}
+	}
 	if t.link != nil {
 		out := t.link.AppendTransport((*t.linkPtr)[:0], rxFrame)
 		if out == nil {
@@ -299,8 +322,12 @@ func (t *transportStage) Step(tk *Tick) error {
 		}
 		t.finalBuf = append(t.finalBuf[:0], got...)
 		haveFinal = true
-		_, derr := comm.Decode(got)
-		return derr == nil
+		fr, derr := comm.Decode(got, t.scratch)
+		if derr != nil {
+			return false
+		}
+		t.scratch = fr.Samples
+		return true
 	})
 	if attemptErr != nil {
 		return attemptErr
@@ -375,54 +402,20 @@ func (t *transportStage) Close() {
 type receiverStage struct {
 	rx        *wearable.Receiver
 	onDeliver func(tick int, data []byte, accepted bool)
-	// scratch backs the batched path's allocation-free frame decode; the
-	// decoded samples alias it until the implant's next tick.
-	scratch []uint16
 }
 
 func (r *receiverStage) Name() string { return "receiver" }
 
+// Step hands the delivered bytes to the wearable. The accepted frame's
+// samples live in the receiver's scratch until its next Receive; every
+// consumer (history, concealment, the decode stage's accumulator) copies
+// or folds them within the tick.
 func (r *receiverStage) Step(tk *Tick) error {
 	if tk.Blanked || tk.Delivered == nil {
 		return nil
 	}
 	got := tk.Delivered
 	fr, rerr := r.rx.Receive(got) // CRC-rejected frames are counted as corrupt
-	frame := tk.Frame
-	tk.Res.DataBits += int64(len(frame) * 8)
-	for i, b := range frame {
-		if i < len(got) {
-			tk.Res.DataBitErrors += int64(mathbits.OnesCount8(b ^ got[i]))
-		} else {
-			tk.Res.DataBitErrors += 8
-		}
-	}
-	for _, b := range got {
-		tk.Res.Digest = (tk.Res.Digest ^ uint64(b)) * fnvPrime
-	}
-	if rerr == nil {
-		tk.RxFrame = fr
-		tk.RxOK = true
-	}
-	if r.onDeliver != nil {
-		r.onDeliver(tk.N, got, rerr == nil)
-	}
-	return nil
-}
-
-// stepScratch is Step for the batched path: identical accounting with
-// the frame decoded into the stage-owned scratch slice. Bit-identical
-// because ReceiveScratch mirrors Receive exactly and every consumer of
-// the samples (record, remember, conceal, decode accumulate) copies or
-// folds synchronously.
-func (r *receiverStage) stepScratch(tk *Tick) error {
-	if tk.Blanked || tk.Delivered == nil {
-		return nil
-	}
-	got := tk.Delivered
-	var fr comm.Frame
-	var rerr error
-	fr, r.scratch, rerr = r.rx.ReceiveScratch(got, r.scratch)
 	frame := tk.Frame
 	tk.Res.DataBits += int64(len(frame) * 8)
 	for i, b := range frame {

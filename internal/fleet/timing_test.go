@@ -73,10 +73,7 @@ func TestStageTimingCoversAllStages(t *testing.T) {
 // interrupted timed run must reproduce the uninterrupted untimed digest.
 func TestStageTimingCheckpointNeutral(t *testing.T) {
 	cfg := timedConfig()
-	ref := runImplant(cfg, 0, 0)
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
-	}
+	ref := runImplants(t, cfg)[0]
 
 	cfg.StageTiming = obs.NewStageTimer()
 	p, err := NewPipeline(cfg, 0, 0)

@@ -45,7 +45,7 @@ func TestDropoutSelectsActiveChannels(t *testing.T) {
 	if err := im.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	f, err := comm.Decode(lastFrame)
+	f, err := comm.Decode(lastFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestElectrodeFaultsReachADC(t *testing.T) {
 	zero := cfg.ADC.Quantize(0)
 	var deadSeen int
 	im.OnFrame(func(buf []byte) {
-		f, err := comm.Decode(buf)
+		f, err := comm.Decode(buf, nil)
 		if err != nil {
 			t.Fatalf("decode emitted frame: %v", err)
 		}

@@ -18,7 +18,7 @@ func TestFeatureCentricFlow(t *testing.T) {
 	var frames int
 	var width int
 	im.OnFrame(func(buf []byte) {
-		f, err := comm.Decode(buf)
+		f, err := comm.Decode(buf, nil)
 		if err != nil {
 			t.Fatalf("feature frame corrupt: %v", err)
 		}
@@ -61,7 +61,7 @@ func TestSpikeCentricFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	im.OnFrame(func(buf []byte) {
-		f, err := comm.Decode(buf)
+		f, err := comm.Decode(buf, nil)
 		if err != nil {
 			t.Fatalf("spike frame corrupt: %v", err)
 		}

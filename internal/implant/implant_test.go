@@ -21,7 +21,7 @@ func TestCommCentricEndToEnd(t *testing.T) {
 	var decoded int
 	var lastSeq uint32
 	im.OnFrame(func(buf []byte) {
-		f, err := comm.Decode(buf)
+		f, err := comm.Decode(buf, nil)
 		if err != nil {
 			t.Fatalf("wearable decode failed: %v", err)
 		}

@@ -295,19 +295,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// ObserveN records the value n times in one shot — the batched-stage
-// path, where one invocation stands for n per-frame observations. Safe
-// on a nil receiver; n ≤ 0 records nothing.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if h == nil || n <= 0 {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
-	h.sum.Add(v * float64(n))
-	h.count.Add(n)
-}
-
 // NewHistogram returns a standalone histogram (not attached to any
 // registry) with the given ascending bucket bounds — the building block
 // behind StageTimer and the loadgen latency estimator. Histograms from

@@ -78,33 +78,6 @@ func TestStageTimerQuantilesWithinRange(t *testing.T) {
 	}
 }
 
-// TestStageClockObserveBatch pins the batched observation semantics:
-// count keeps its frames-observed meaning, the mean is the true
-// ns/frame, and min/max/quantiles see the batch average.
-func TestStageClockObserveBatch(t *testing.T) {
-	st := NewStageTimer()
-	c := st.Clock("source")
-	c.ObserveBatch(64_000, 64) // 64 frames at 1µs average
-	c.ObserveBatch(32_000, 16) // 16 frames at 2µs average
-	c.ObserveBatch(100, 0)     // no frames: must record nothing
-	s := st.Stats()[0]
-	if s.Count != 80 || s.TotalNs != 96_000 {
-		t.Fatalf("count/total = %d/%d, want 80/96000", s.Count, s.TotalNs)
-	}
-	if s.MeanNs != 1200 {
-		t.Errorf("mean = %g, want 1200", s.MeanNs)
-	}
-	if s.MinNs != 1000 || s.MaxNs != 2000 {
-		t.Errorf("min/max = %d/%d, want 1000/2000", s.MinNs, s.MaxNs)
-	}
-	if s.P50Ns < float64(s.MinNs) || s.P50Ns > float64(s.MaxNs) {
-		t.Errorf("p50 = %g outside [%d, %d]", s.P50Ns, s.MinNs, s.MaxNs)
-	}
-	// Nil safety mirrors Observe.
-	var nilClock *StageClock
-	nilClock.ObserveBatch(1000, 4)
-}
-
 func TestStageTimerEWMATracks(t *testing.T) {
 	st := NewStageTimer()
 	c := st.Clock("transport")
