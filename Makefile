@@ -73,12 +73,18 @@ serve-smoke:
 # frame digest must be byte-identical with and without the decoder, the
 # decode digest worker-invariant, and a mid-run checkpoint must resume
 # bit-identically with decoder temporal state — plus the v1 golden blob
-# under the v2 codec and the gateway-layer decoded stream.
+# under the v2 codec and the gateway-layer decoded stream. Under the
+# decoders: the linalg kernels (MulInto, InverseInto) against their
+# element-wise oracles bit for bit, sizes 1–100, ErrSingular on the same
+# inputs; the inverse speed floor (≥3× the oracle at n=32); and the
+# decoder digest pins (fits, steady-state gain, a 200-step Kalman
+# trajectory and two refits per linear kind at 32 channels).
 decode-smoke:
 	$(GO) test -race -run 'TestDecode|TestCheckpointResumeWithDecoder|TestSessionDecoderDeterministic' ./internal/fleet/
 	$(GO) test -race -run 'TestGoldenV1|TestRoundTripWithDecoder|TestRestoreContinuesBitIdenticallyWithDecoder' ./internal/serve/checkpoint/
 	$(GO) test -race -run 'TestDecodedStream|TestGatewayRestoreWithDecoder|TestDefaultDecoderApplied' ./internal/serve/
-	$(GO) test -run 'TestResetEqualsFresh|TestDecoderStepZeroAlloc' ./internal/decode/
+	$(GO) test -run 'TestResetEqualsFresh|TestDecoderStepZeroAlloc|TestDecoderFitPins|TestKalmanStepPin|TestRecalibratorRefitPins' ./internal/decode/
+	$(GO) test -run 'TestInverseMatchesOracle|TestMulMatchesOracle|TestInverseSpeedup' ./internal/linalg/
 
 # Observability smoke: the flight recorder's guarantees — stage timing
 # is digest-neutral and covers all four stages (BENCH_stage.json), the

@@ -142,6 +142,7 @@ type qamModem struct {
 	grayToIdx []int     // gray code → level index
 	idxToGray []int     // level index → gray code
 	amps      []float64 // level index → amplitude
+	thr       []float64 // level decision thresholds; see demodThresholds
 }
 
 func newQAMModem(bits int) *qamModem {
@@ -164,6 +165,7 @@ func newQAMModem(bits int) *qamModem {
 		m.grayToIdx[g] = i
 		m.amps[i] = m.scale * float64(2*i-(l-1))
 	}
+	m.thr = demodThresholds(m)
 	return m
 }
 
@@ -193,13 +195,27 @@ func (m *qamModem) Demodulate(syms []Symbol) []byte {
 
 func (m *qamModem) AppendDemodulate(dst []byte, syms []Symbol) []byte {
 	half := m.Bits / 2
+	idxToGray := m.idxToGray
 	for _, s := range syms {
-		dst = appendIntBits(dst, m.idxToGray[m.nearestLevel(s.I)], half)
-		dst = appendIntBits(dst, m.idxToGray[m.nearestLevel(s.Q)], half)
+		dst = appendIntBits(dst, idxToGray[m.level(s.I)], half)
+		dst = appendIntBits(dst, idxToGray[m.level(s.Q)], half)
 	}
 	return dst
 }
 
+// level is nearestLevel(x) by threshold count: decideLevel, the packed
+// modem's kernel, with NaN mapped to level 0.
+func (m *qamModem) level(x float64) int {
+	if x != x {
+		return 0
+	}
+	return decideLevel(x, m.thr)
+}
+
+// nearestLevel is the defining hard decision: the level whose amplitude
+// is nearest x. The demodulators decide by decideLevel over the
+// thresholds demodThresholds derives from it, which is the same function
+// without the division.
 func (m *qamModem) nearestLevel(x float64) int {
 	// Levels are uniformly spaced at 2·scale starting at −(L−1)·scale.
 	// Clamping happens on the float side so the function is total and

@@ -17,6 +17,17 @@ import (
 // kernel against its reference bit for bit, and TestFrameRoundTripSpeedup
 // measures how much faster the production frame path is.
 
+// demodulateRef is the bit-level QAM demodulator deciding each axis
+// with nearestLevel's divide-and-round.
+func demodulateRef(m *qamModem, dst []byte, syms []Symbol) []byte {
+	half := m.Bits / 2
+	for _, s := range syms {
+		dst = appendIntBits(dst, m.idxToGray[m.nearestLevel(s.I)], half)
+		dst = appendIntBits(dst, m.idxToGray[m.nearestLevel(s.Q)], half)
+	}
+	return dst
+}
+
 // appendPackSamplesRef packs samples MSB first one bit at a time.
 func appendPackSamplesRef(dst []byte, samples []uint16, bits int) []byte {
 	base := len(dst)
@@ -198,8 +209,9 @@ func TestDecodeIntoIdentical(t *testing.T) {
 
 // TestPackedModemIdentical pins the byte-oriented modem against the
 // bit-level path for every k that divides 8: identical symbols
-// (bit-for-bit), identical hard decisions after noise, and popcount
-// bit-error counts equal to the per-bit comparison.
+// (bit-for-bit), identical hard decisions after noise (both modems
+// against demodulateRef), and popcount bit-error counts equal to the
+// per-bit comparison.
 func TestPackedModemIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, qbits := range []int{2, 4, 8} {
@@ -238,7 +250,10 @@ func TestPackedModemIdentical(t *testing.T) {
 			chB := NewAWGNChannel(4, int64(iter))
 			transmitRef(chA, refSyms)
 			chB.TransmitInPlace(gotSyms)
-			rxBits := bitModem.AppendDemodulate(nil, refSyms)
+			rxBits := demodulateRef(bitModem.(*qamModem), nil, refSyms)
+			if got := bitModem.AppendDemodulate(nil, refSyms); !bytes.Equal(got, rxBits) {
+				t.Fatalf("QAM%d: bit modem decisions differ from the oracle", 1<<qbits)
+			}
 			rxBytes := AppendBitsAsBytes(nil, rxBits)
 			gotBytes := pm.AppendDemodulateBytes(nil, gotSyms)
 			if !bytes.Equal(rxBytes, gotBytes) {

@@ -10,13 +10,13 @@ import "math"
 // and the hard-decision math are the exact float64 expressions of the
 // bit-level qamModem, so a packed round trip is bit-identical to
 // AppendBytesAsBits → AppendModulate → AppendDemodulate →
-// AppendBitsAsBytes (pinned by fast_test.go).
+// AppendBitsAsBytes for every symbol without a NaN coordinate (pinned by
+// oracle_test.go and packed_test.go; see decideLevel for NaN).
 type PackedModem struct {
 	qm      *qamModem
-	group   int       // bits per symbol k
-	perByte int       // symbols per byte, 8/k
-	tbl     []Symbol  // k-bit group value → constellation point
-	thr     []float64 // level decision thresholds; see demodThresholds
+	group   int      // bits per symbol k
+	perByte int      // symbols per byte, 8/k
+	tbl     []Symbol // k-bit group value → constellation point
 }
 
 // NewPackedModem returns the packed fast path for the modulation, or
@@ -44,7 +44,6 @@ func NewPackedModem(m Modulation) (*PackedModem, bool) {
 			Q: qm.amps[qm.grayToIdx[v&mask]],
 		}
 	}
-	pm.thr = demodThresholds(qm)
 	return pm, true
 }
 
@@ -60,6 +59,7 @@ func NewPackedModem(m Modulation) (*PackedModem, bool) {
 // found by bit-level binary search with nearestLevel itself as the
 // oracle, so the equivalence is by construction, not by re-deriving the
 // boundary arithmetic (packed_test.go probes every threshold ±1 ulp).
+// newQAMModem stores the table; both modems decide through decideLevel.
 func demodThresholds(qm *qamModem) []float64 {
 	// Order-preserving bijection between finite float64s and uint64s.
 	ord := func(f float64) uint64 {
@@ -89,6 +89,25 @@ func demodThresholds(qm *qamModem) []float64 {
 		thr[n-1] = unord(lo)
 	}
 	return thr
+}
+
+// decideLevel returns the number of thresholds in thr at or below x,
+// which equals nearestLevel(x) for every x but NaN (see demodThresholds).
+// It is the hard decision of both QAM modems. The count is branch-free:
+// signbit(x−t) ⟺ x < t for non-NaN x (gradual underflow makes x−t round
+// to zero exactly when x == t, and correct rounding preserves the sign
+// otherwise), so each threshold costs one subtract-and-shift instead of
+// a division, or a branch that mispredicts whenever noise lands near a
+// boundary. A NaN carries its own sign bit through every subtraction, so
+// it decides level 0 or the top level by that sign; the bit-level modem
+// maps every NaN to level 0 as nearestLevel does, and the packed path,
+// whose inputs are noisy constellation points, pays for no check.
+func decideLevel(x float64, thr []float64) int {
+	n := len(thr)
+	for _, t := range thr {
+		n -= int(math.Float64bits(x-t) >> 63)
+	}
+	return n
 }
 
 // BitsPerSymbol returns k.
@@ -136,21 +155,14 @@ func (pm *PackedModem) AppendModulateBytes(dst []Symbol, data []byte) []Symbol {
 func (pm *PackedModem) AppendDemodulateBytes(dst []byte, syms []Symbol) []byte {
 	qm := pm.qm
 	half := pm.group / 2
-	// Hard decisions by threshold count instead of nearestLevel's
-	// divide-and-round: bit-identical for every finite input (see
-	// demodThresholds), and a handful of compares beats two float
-	// divisions per symbol.
-	// The count is branch-free: signbit(x−t) ⟺ x < t for non-NaN x
-	// (gradual underflow makes x−t round to zero exactly when x == t,
-	// and correct rounding preserves the sign otherwise), so each
-	// threshold contributes one subtract-and-shift instead of a
-	// branch that mispredicts whenever noise lands near a boundary.
-	thr := pm.thr
+	// Hard decisions by threshold count (decideLevel), the rule the
+	// bit-level modem uses too.
+	thr := qm.thr
 	idxToGray := qm.idxToGray
 	var acc uint
 	n := 0
 	if len(thr) == 3 {
-		// 16-QAM, the common fleet modulation, fully unrolled.
+		// 16-QAM, the common fleet modulation: decideLevel unrolled.
 		t0, t1, t2 := thr[0], thr[1], thr[2]
 		for _, s := range syms {
 			ii := 3 -
@@ -171,12 +183,7 @@ func (pm *PackedModem) AppendDemodulateBytes(dst []byte, syms []Symbol) []byte {
 		return dst
 	}
 	for _, s := range syms {
-		ii, qi := len(thr), len(thr)
-		for _, t := range thr {
-			ii -= int(math.Float64bits(s.I-t) >> 63)
-			qi -= int(math.Float64bits(s.Q-t) >> 63)
-		}
-		v := idxToGray[ii]<<half | idxToGray[qi]
+		v := idxToGray[decideLevel(s.I, thr)]<<half | idxToGray[decideLevel(s.Q, thr)]
 		acc = acc<<pm.group | uint(v)
 		if n++; n == pm.perByte {
 			dst = append(dst, byte(acc))

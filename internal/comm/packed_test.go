@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,16 +30,16 @@ func TestDemodThresholdsExact(t *testing.T) {
 			t.Fatalf("QAM%d: expected packed modem", 1<<bits)
 		}
 		qm := pm.qm
-		if len(pm.thr) != qm.levels-1 {
-			t.Fatalf("QAM%d: %d thresholds for %d levels", 1<<bits, len(pm.thr), qm.levels)
+		if len(pm.qm.thr) != qm.levels-1 {
+			t.Fatalf("QAM%d: %d thresholds for %d levels", 1<<bits, len(pm.qm.thr), qm.levels)
 		}
 		check := func(x float64) {
 			t.Helper()
-			if got, want := levelByThreshold(pm.thr, x), qm.nearestLevel(x); got != want {
+			if got, want := levelByThreshold(pm.qm.thr, x), qm.nearestLevel(x); got != want {
 				t.Fatalf("QAM%d: x=%v threshold rule %d, nearestLevel %d", 1<<bits, x, got, want)
 			}
 		}
-		for _, th := range pm.thr {
+		for _, th := range pm.qm.thr {
 			check(th)
 			check(math.Nextafter(th, math.Inf(-1)))
 			check(math.Nextafter(th, math.Inf(1)))
@@ -54,28 +55,16 @@ func TestDemodThresholdsExact(t *testing.T) {
 	}
 }
 
-// TestDemodBoundarySymbols drives the production packed demodulator on
+// TestDemodBoundarySymbols drives both production demodulators on
 // symbols placed exactly at, and one ulp either side of, every decision
 // threshold — the inputs where a branchless reformulation could slip —
-// and pins its bytes against the bit-level scalar path.
+// plus signed zeros, huge magnitudes and ±Inf, and pins their bits
+// against demodulateRef, the nearestLevel oracle. The bit-level modem
+// must also map NaNs of either sign to level 0 as the oracle does; the
+// packed modem decides a NaN by its sign bit (see decideLevel), so it is
+// probed on the non-NaN grid only.
 func TestDemodBoundarySymbols(t *testing.T) {
-	for _, bits := range []int{2, 4, 8} {
-		mod := NewQAM(bits)
-		pm, ok := NewPackedModem(mod)
-		if !ok {
-			t.Fatalf("QAM%d: expected packed modem", 1<<bits)
-		}
-		bitModem, err := NewModem(mod)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var probes []float64
-		for _, th := range pm.thr {
-			probes = append(probes, th,
-				math.Nextafter(th, math.Inf(-1)),
-				math.Nextafter(th, math.Inf(1)))
-		}
-		probes = append(probes, 0, math.Copysign(0, -1), 1e300, -1e300)
+	grid := func(probes []float64) []Symbol {
 		var syms []Symbol
 		for _, i := range probes {
 			for _, q := range probes {
@@ -83,10 +72,36 @@ func TestDemodBoundarySymbols(t *testing.T) {
 			}
 		}
 		// Pad to a whole number of bytes.
-		for len(syms)%pm.SymbolsPerByte() != 0 {
+		for len(syms)%8 != 0 {
 			syms = append(syms, Symbol{})
 		}
-		refBytes := AppendBitsAsBytes(nil, bitModem.AppendDemodulate(nil, syms))
+		return syms
+	}
+	for _, bits := range []int{2, 4, 6, 8} {
+		mod := NewQAM(bits)
+		bitModem, err := NewModem(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qm := bitModem.(*qamModem)
+		var probes []float64
+		for _, th := range qm.thr {
+			probes = append(probes, th,
+				math.Nextafter(th, math.Inf(-1)),
+				math.Nextafter(th, math.Inf(1)))
+		}
+		probes = append(probes, 0, math.Copysign(0, -1), 1e300, -1e300, math.Inf(1), math.Inf(-1))
+
+		nanSyms := grid(append(probes, math.NaN(), math.Copysign(math.NaN(), -1)))
+		if got, want := bitModem.AppendDemodulate(nil, nanSyms), demodulateRef(qm, nil, nanSyms); !bytes.Equal(got, want) {
+			t.Fatalf("QAM%d: bit modem decisions differ from the oracle", 1<<bits)
+		}
+		pm, ok := NewPackedModem(mod)
+		if !ok {
+			continue
+		}
+		syms := grid(probes)
+		refBytes := AppendBitsAsBytes(nil, demodulateRef(qm, nil, syms))
 		gotBytes := pm.AppendDemodulateBytes(nil, syms)
 		if len(refBytes) != len(gotBytes) {
 			t.Fatalf("QAM%d: %d bytes vs %d", 1<<bits, len(gotBytes), len(refBytes))

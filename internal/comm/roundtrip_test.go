@@ -52,15 +52,15 @@ func (r *roundTrip) fast(pm *PackedModem) (Frame, error) {
 }
 
 // ref runs one frame through the reference kernels: the per-bit
-// packer, the bit-level modem, per-draw noise and the allocating
-// decoder.
+// packer, the bit-level modem with nearestLevel decisions, per-draw
+// noise and the allocating decoder.
 func (r *roundTrip) ref(m Modem) (Frame, error) {
 	r.frame = appendFrameRef(r.frame[:0], r.pkt.Seq(), 10, 0, r.samples)
 	r.pkt.SetSeq(r.pkt.Seq() + 1)
 	r.bits = AppendBytesAsBits(r.bits[:0], r.frame)
 	r.syms, _ = m.AppendModulate(r.syms[:0], r.bits)
 	transmitRef(r.ch, r.syms)
-	r.rxBits = m.AppendDemodulate(r.rxBits[:0], r.syms)
+	r.rxBits = demodulateRef(m.(*qamModem), r.rxBits[:0], r.syms)
 	r.rx = AppendBitsAsBytes(r.rx[:0], r.rxBits)
 	return decodeRef(r.rx)
 }

@@ -13,7 +13,7 @@ import (
 // rotatedSystem generates a test stream whose observation model rotates
 // away from the one the decoders were fitted on — the nonstationarity a
 // recalibrating decoder must track and a frozen decoder cannot.
-func rotatedSystem(t *testing.T, bins, channels int, angle, noise float64, seed int64) (states, obs [][]float64) {
+func rotatedSystem(t testing.TB, bins, channels int, angle, noise float64, seed int64) (states, obs [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	h := make([][]float64, channels)

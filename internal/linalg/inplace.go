@@ -6,7 +6,8 @@ import (
 )
 
 // In-place variants of the matrix operations. The allocating methods on
-// Matrix stay the ergonomic default for fitting code; these exist for the
+// Matrix stay the ergonomic default for fitting code (Mul and Inverse
+// run MulInto and InverseInto on fresh matrices); these exist for the
 // per-step hot paths (the Kalman and Wiener decoders in internal/decode)
 // where every tick would otherwise allocate a handful of intermediates.
 // All destinations must be pre-shaped by the caller and — unless noted —
@@ -22,22 +23,23 @@ func shapeCheck(cond bool, format string, args ...any) {
 }
 
 // MulInto computes a·b into dst. dst must be a.Rows×b.Cols and must not
-// alias a or b.
+// alias a or b. It is the package's one matrix product: Mul wraps it.
+// The loop order is i-k-j on row slices, and a zero a[i][k] skips its
+// row update.
 func MulInto(dst, a, b Matrix) {
 	shapeCheck(a.Cols == b.Rows, "MulInto inner dimension %d != %d", a.Cols, b.Rows)
 	shapeCheck(dst.Rows == a.Rows && dst.Cols == b.Cols,
 		"MulInto destination %d×%d != %d×%d", dst.Rows, dst.Cols, a.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+	clear(dst.Data)
+	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			v := a.At(i, k)
+		aRow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		dstRow := dst.Data[i*n : (i+1)*n]
+		for k, v := range aRow {
 			if v == 0 {
 				continue
 			}
-			dstRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			bRow := b.Data[k*b.Cols : (k+1)*b.Cols]
+			bRow := b.Data[k*n : (k+1)*n]
 			for j := range dstRow {
 				dstRow[j] += v * bRow[j]
 			}
@@ -91,10 +93,18 @@ func IdentityInto(dst Matrix) {
 	}
 }
 
-// InverseInto inverts a into dst using work as elimination scratch; a is
-// preserved. dst and work must be square matrices of a's shape and must
-// not alias a or each other. The pivoting and tolerance match Inverse
-// exactly, so both paths return ErrSingular on the same inputs.
+// InverseInto inverts a into dst by Gauss–Jordan elimination with
+// partial pivoting, using work as elimination scratch; a is preserved.
+// dst and work must be square matrices of a's shape and must not alias a
+// or each other. On return work holds no meaningful values. It is the
+// package's one inverse: Inverse wraps it.
+//
+// Each pivot row and target row is taken as a slice once per step. In
+// work only the columns right of the pivot are updated: the pivot column
+// becomes a unit vector and the columns left of it were eliminated
+// earlier, and neither is read again. Every operation on dst keeps the
+// order of the textbook element-wise form, so the result is the same to
+// the bit (oracle_test.go holds that form).
 func InverseInto(dst, work, a Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("linalg: cannot invert %d×%d matrix", a.Rows, a.Cols)
@@ -104,10 +114,11 @@ func InverseInto(dst, work, a Matrix) error {
 	n := a.Rows
 	CopyInto(work, a)
 	IdentityInto(dst)
+	w, d := work.Data, dst.Data
 	for col := 0; col < n; col++ {
-		pivot, best := col, math.Abs(work.At(col, col))
+		pivot, best := col, math.Abs(w[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(work.At(r, col)); v > best {
+			if v := math.Abs(w[r*n+col]); v > best {
 				pivot, best = r, v
 			}
 		}
@@ -118,22 +129,32 @@ func InverseInto(dst, work, a Matrix) error {
 			swapRows(work, pivot, col)
 			swapRows(dst, pivot, col)
 		}
-		p := work.At(col, col)
-		for j := 0; j < n; j++ {
-			work.Set(col, j, work.At(col, j)/p)
-			dst.Set(col, j, dst.At(col, j)/p)
+		wPiv := w[col*n+col+1 : (col+1)*n]
+		dPiv := d[col*n : (col+1)*n]
+		p := w[col*n+col]
+		for j := range wPiv {
+			wPiv[j] /= p
+		}
+		for j := range dPiv {
+			dPiv[j] /= p
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			f := work.At(r, col)
+			f := w[r*n+col]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				work.Set(r, j, work.At(r, j)-f*work.At(col, j))
-				dst.Set(r, j, dst.At(r, j)-f*dst.At(col, j))
+			wRow := w[r*n+col+1 : (r+1)*n]
+			wRow = wRow[:len(wPiv)]
+			for j, v := range wPiv {
+				wRow[j] -= f * v
+			}
+			dRow := d[r*n : (r+1)*n]
+			dRow = dRow[:len(dPiv)]
+			for j, v := range dPiv {
+				dRow[j] -= f * v
 			}
 		}
 	}

@@ -1,9 +1,14 @@
 // Package linalg provides the small dense linear algebra kernel used by
 // the decoder baselines and the neural-network engine: a row-major matrix
 // type with multiplication, transpose, inversion (Gauss–Jordan with partial
-// pivoting) and least-squares solving. It is deliberately minimal — the
-// framework's matrices are tiny (state dimensions and layer widths), so
-// clarity beats asymptotic cleverness.
+// pivoting) and least-squares solving. It is deliberately minimal: the
+// matrices are small (state dimensions, channel counts, layer widths) and
+// the algorithms are the textbook ones. The two dense kernels, MulInto
+// and InverseInto, run on every decoder step and refit, so they work on
+// row slices; Mul and Inverse, and through them LeastSquares, are thin
+// allocating wrappers over them. Their element-wise reference forms live
+// in oracle_test.go, and the kernels must match them bit for bit, signed
+// zeros included.
 package linalg
 
 import (
@@ -74,23 +79,13 @@ func (m Matrix) T() Matrix {
 	return out
 }
 
-// Mul returns m·b.
+// Mul returns m·b; it allocates the result and runs MulInto.
 func (m Matrix) Mul(b Matrix) Matrix {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: Mul dimension mismatch %d×%d · %d×%d", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
 	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Data[i*out.Cols+j] += a * b.At(k, j)
-			}
-		}
-	}
+	MulInto(out, m, b)
 	return out
 }
 
@@ -140,49 +135,12 @@ func (m Matrix) Scale(s float64) Matrix {
 // ErrSingular is returned when a matrix cannot be inverted.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// Inverse returns m⁻¹ by Gauss–Jordan elimination with partial pivoting.
+// Inverse returns m⁻¹ by Gauss–Jordan elimination with partial pivoting;
+// it allocates the result and its scratch and runs InverseInto.
 func (m Matrix) Inverse() (Matrix, error) {
-	if m.Rows != m.Cols {
-		return Matrix{}, fmt.Errorf("linalg: cannot invert %d×%d matrix", m.Rows, m.Cols)
-	}
-	n := m.Rows
-	a := m.Clone()
-	inv := Identity(n)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot, best := col, math.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
-				pivot, best = r, v
-			}
-		}
-		if best < 1e-12 {
-			return Matrix{}, ErrSingular
-		}
-		if pivot != col {
-			swapRows(a, pivot, col)
-			swapRows(inv, pivot, col)
-		}
-		// Normalize pivot row.
-		p := a.At(col, col)
-		for j := 0; j < n; j++ {
-			a.Set(col, j, a.At(col, j)/p)
-			inv.Set(col, j, inv.At(col, j)/p)
-		}
-		// Eliminate.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := a.At(r, col)
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-				inv.Set(r, j, inv.At(r, j)-f*inv.At(col, j))
-			}
-		}
+	inv := NewMatrix(m.Rows, m.Cols)
+	if err := InverseInto(inv, NewMatrix(m.Rows, m.Cols), m); err != nil {
+		return Matrix{}, err
 	}
 	return inv, nil
 }
